@@ -2,7 +2,7 @@
 
 SIR's resampling scheme is a classic design choice (the paper adopts plain
 SIR [3]); this bench compares the four implemented schemes on the CPF
-tracker, plus KLD-sampling's adaptive particle count (related work [28]).
+tracker.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import numpy as np
 from repro.baselines.cpf import CPFTracker
 from repro.experiments.report import render_table
 from repro.experiments.runner import run_tracking
-from repro.filters.kld import KLDSampler
 from repro.filters.resampling import RESAMPLERS
 from repro.scenario import make_paper_scenario, make_trajectory
 
@@ -51,25 +50,3 @@ def test_resampling_schemes(report_sink, benchmark):
     assert best < 1.0
     assert max(results.values()) < 4.0 * max(best, 0.3)
 
-
-def test_kld_adaptive_particle_count(report_sink, benchmark):
-    """KLD-sampling: a concentrated posterior needs far fewer than 1000
-    particles — measure the adapted count on a converged CPF cloud."""
-
-    def measure():
-        rng = np.random.default_rng(4200)
-        scenario = make_paper_scenario(density_per_100m2=20.0, rng=rng)
-        trajectory = make_trajectory(n_iterations=10, rng=rng)
-        tracker = CPFTracker(scenario, rng=np.random.default_rng(0))
-        run_tracking(tracker, scenario, trajectory, rng=np.random.default_rng(8200))
-        sampler = KLDSampler(epsilon=0.05, delta=0.01, bin_size=2.0, n_min=50, n_max=1000)
-        adapted = sampler.adapt(tracker.filter.particles, np.random.default_rng(1))
-        return tracker.filter.particles.n, adapted.n
-
-    full, adapted = benchmark.pedantic(measure, rounds=1, iterations=1)
-    report_sink(
-        f"KLD-sampling: converged CPF posterior needs {adapted} particles "
-        f"(vs the fixed {full}) at eps=0.05, delta=0.01 — the related-work [28] "
-        f"computation saving, quantified"
-    )
-    assert adapted < full / 2

@@ -40,12 +40,6 @@ from .experiments import (
 )
 from .factory import make_tracker, register_tracker, tracker_factory, tracker_names
 from .filters import ParticleSet, SIRFilter
-from .kernels.backends import (
-    kernel_backend_info,
-    set_kernel_backend,
-    use_kernel_backend,
-    warm_up_kernels,
-)
 from .models import BearingMeasurement, ConstantVelocityModel, random_turn_trajectory
 from .network import DataSizes, Medium, RadioModel, uniform_deployment
 from .runtime import (
@@ -83,8 +77,6 @@ __all__ = [
     "CheckpointPolicy", "RunOptions", "StepOutcome", "TrackingRun", "iteration_subscriber",
     "make_tracker", "register_tracker", "tracker_factory", "tracker_names",
     "ParticleSet", "SIRFilter",
-    "kernel_backend_info", "set_kernel_backend", "use_kernel_backend",
-    "warm_up_kernels",
     "BearingMeasurement", "ConstantVelocityModel", "random_turn_trajectory",
     "DataSizes", "Medium", "RadioModel", "uniform_deployment",
     "CheckpointError", "Checkpointable", "RunCheckpoint",

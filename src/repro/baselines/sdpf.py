@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.propagation import PropagationConfig
+from ..kernels.likelihood import batch_likelihood
 from ..kernels.propagation import batch_implied_velocities, batch_propagate
 from ..network.messages import (
     MeasurementMessage,
@@ -459,8 +460,6 @@ class SDPFTracker:
             rows.append(r)
             pair_lists.append(pairs)
         if rows:
-            from ..kernels import batch_likelihood  # dispatching wrapper
-
             # one (holders, measurements) log-kernel matrix with the
             # discretization-aware sigma inflation (see core.cdpf); columns
             # key on distinct (sender, value) pairs so delayed stale copies

@@ -216,11 +216,7 @@ def build_run_options(config: ScenarioConfig, *, bus: "EventBus | None" = None):
     """The :class:`~repro.experiments.options.RunOptions` for ``config``."""
     from ..experiments.options import RunOptions
 
-    kernel_backend = (
-        None if config.kernel_backend == "auto" else config.kernel_backend
-    )
-    return RunOptions(fault_plan=build_fault_plan(config), bus=bus,
-                      kernel_backend=kernel_backend)
+    return RunOptions(fault_plan=build_fault_plan(config), bus=bus)
 
 
 #: execution strategies :meth:`CompiledRun.run` accepts — mirrors

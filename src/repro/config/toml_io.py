@@ -76,7 +76,6 @@ def dumps_config(config: ScenarioConfig) -> str:
     data = config.to_dict()
     lines = [
         f"seed = {_scalar(data.pop('seed'))}",
-        f"kernel_backend = {_scalar(data.pop('kernel_backend'))}",
         "",
     ]
     faults = data.pop("faults")

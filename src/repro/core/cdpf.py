@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels import batch_likelihood  # dispatching: honors backend switches
 from ..kernels.geometry import norm2d_many
+from ..kernels.likelihood import batch_likelihood
 from ..kernels.propagation import batch_implied_velocities, batch_propagate
 from ..models.measurement import wrap_angle
 from ..network.messages import MeasurementMessage, ParticleMessage

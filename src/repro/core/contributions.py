@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import batch_contributions  # dispatching: honors backend switches
+from ..kernels.contributions import batch_contributions
 
 __all__ = [
     "estimated_contributions",

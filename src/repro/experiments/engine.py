@@ -204,11 +204,6 @@ class RunSummary:
     #: its first cell completed) resumes as ``n_resumed == 0`` with this
     #: field carrying the evidence, instead of looking like a fresh sweep.
     n_checkpoint_resumed: int = 0
-    #: resolved per-kernel backend map of the sweep, as sorted
-    #: ``(kernel, backend)`` pairs (see :func:`repro.kernels.backends.
-    #: kernel_backend_info`) — records what actually served the hot paths,
-    #: including per-kernel fallbacks to numpy
-    kernel_backends: tuple[tuple[str, str], ...] = ()
 
     @property
     def tasks_per_sec(self) -> float:
@@ -251,18 +246,7 @@ class RunSummary:
             ("throughput", f"{self.tasks_per_sec:.2f} tasks/s"),
             ("parallel efficiency",
              "n/a" if math.isnan(efficiency) else f"{efficiency:.2f}"),
-            ("kernel backends", self.kernel_backend_summary),
         ]
-
-    @property
-    def kernel_backend_summary(self) -> str:
-        """Human-readable per-kernel backend map (``"numpy"`` when uniform)."""
-        if not self.kernel_backends:
-            return "numpy"
-        names = {backend for _, backend in self.kernel_backends}
-        if len(names) == 1:
-            return next(iter(names))
-        return ", ".join(f"{k}={b}" for k, b in self.kernel_backends)
 
 
 class StoreLoadError(RuntimeError):
@@ -500,24 +484,6 @@ class _TaskSpec:
     factory: Callable
     scenario_kwargs: dict
     trajectory_kwargs: dict
-    kernel_backend: str | None = None
-
-
-def _pool_initializer(kernel_backend: str | None) -> None:
-    """Per-worker setup: apply the sweep's backend request, pre-compile.
-
-    Runs once per pool process at spawn.  The request enters through the
-    same run-scoped channel as the serial path (so a process-level
-    ``REPRO_KERNEL_BACKEND`` pin keeps its precedence, warn-once), and the
-    scope deliberately never exits — it covers the worker's lifetime.
-    Warm-up compiles any JIT variants up front so the first task doesn't
-    pay compilation latency.
-    """
-    from ..kernels import backends
-
-    if kernel_backend is not None:
-        backends.use_kernel_backend(kernel_backend).__enter__()
-    backends.warm_up_kernels()
 
 
 def _execute_task(
@@ -559,12 +525,7 @@ def _execute_task(
             sink=checkpoint_sink,
             resume_from=resume_from,
         )
-    if checkpoint is not None or spec.kernel_backend is not None:
-        options = RunOptions(
-            checkpoint=checkpoint, kernel_backend=spec.kernel_backend
-        )
-    else:
-        options = None
+    options = RunOptions(checkpoint=checkpoint) if checkpoint is not None else None
     result = run_tracking(
         tracker,
         scenario,
@@ -597,7 +558,6 @@ def run_sweep(
     store: JsonlStore | str | Path | None = None,
     backend: str | None = None,
     checkpoint_every: int | None = None,
-    kernel_backend: str | None = None,
 ) -> tuple[list[CellResult], RunSummary]:
     """Execute a task list and return its cells in task order, plus timing.
 
@@ -630,13 +590,6 @@ def run_sweep(
     the uninterrupted run.  Checkpointing executes cells in-process — the
     batched backend routes its cells through the per-cell serial path, and
     the process pool is rejected outright.
-
-    ``kernel_backend`` requests a hot-path kernel backend for every cell
-    (see :mod:`repro.kernels.backends`): ``"numpy"`` (reference) or
-    ``"numba"`` (JIT, bit-identical by contract, so results never depend on
-    the choice).  It is applied per executed cell — pool workers opt in at
-    spawn via an initializer that also pre-compiles the JIT variants — and
-    the resolved per-kernel map lands in ``RunSummary.kernel_backends``.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -656,14 +609,6 @@ def run_sweep(
                 "checkpoint_every requires in-process execution; use "
                 "backend='serial' or 'batched' (checkpoint records stream "
                 "into the store as cells run, which a process pool cannot do)"
-            )
-    if kernel_backend is not None:
-        from ..kernels.backends import kernel_backend_names
-
-        if kernel_backend not in kernel_backend_names():
-            raise ValueError(
-                f"unknown kernel_backend {kernel_backend!r}; registered: "
-                f"{list(kernel_backend_names())}"
             )
     scenario_kwargs = dict(scenario_kwargs or {})
     trajectory_kwargs = dict(trajectory_kwargs or {})
@@ -694,43 +639,20 @@ def run_sweep(
                         factory=factories[task.algorithm],
                         scenario_kwargs=scenario_kwargs,
                         trajectory_kwargs=trajectory_kwargs,
-                        kernel_backend=kernel_backend,
                     ),
                 )
             )
 
-    from ..kernels import backends as _kernel_backends
-
-    if kernel_backend is not None:
-        # resolve (and pre-compile) once up front so the first cell never
-        # pays JIT warm-up, and record what will actually serve each kernel
-        with _kernel_backends.use_kernel_backend(kernel_backend):
-            _kernel_backends.warm_up_kernels()
-            backend_map = _kernel_backends.kernel_backend_info()["kernels"]
-    else:
-        backend_map = _kernel_backends.kernel_backend_info()["kernels"]
-    resolved_kernel_backends = tuple(
-        sorted((k, v["backend"]) for k, v in backend_map.items())
-    )
-
     t0 = time.perf_counter()
     remaining = pending
     if backend == "batched" and pending and checkpoint_every is None:
-        from contextlib import nullcontext
-
         from .lockstep import partition_batchable, run_lockstep
 
         batchable, remaining = partition_batchable(pending)
-        scope = (
-            _kernel_backends.use_kernel_backend(kernel_backend)
-            if kernel_backend is not None
-            else nullcontext()
-        )
-        with scope:  # the lock-step engine calls the kernels directly
-            for i, cell in run_lockstep(batchable):
-                results[i] = cell
-                if store is not None:
-                    store.append(cell.to_record(fingerprint))
+        for i, cell in run_lockstep(batchable):
+            results[i] = cell
+            if store is not None:
+                store.append(cell.to_record(fingerprint))
     use_pool = (
         backend != "serial"
         and checkpoint_every is None
@@ -774,11 +696,7 @@ def run_sweep(
                     "parallel sweeps need picklable factories (module-level "
                     "functions); pass max_workers=1 for closure factories"
                 ) from exc
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_pool_initializer,
-            initargs=(kernel_backend,),
-        ) as executor:
+        with ProcessPoolExecutor(max_workers=max_workers) as executor:
             future_to_index = {
                 executor.submit(_execute_task, spec): i for i, spec in remaining
             }
@@ -805,6 +723,5 @@ def run_sweep(
         wall_clock_s=wall_clock,
         task_time_s=float(sum(c.elapsed_s for c in cells if not c.resumed)),
         n_checkpoint_resumed=n_checkpoint_resumed,
-        kernel_backends=resolved_kernel_backends,
     )
     return cells, summary

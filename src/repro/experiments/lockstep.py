@@ -45,11 +45,9 @@ import numpy as np
 
 from ..core.propagation import HeldParticle
 from ..factory import _NamedFactory
-from ..kernels import (  # dispatching wrappers: honor backend switches
-    batch_contributions,
-    batch_likelihood,
-)
+from ..kernels.contributions import batch_contributions
 from ..kernels.geometry import norm2d_many
+from ..kernels.likelihood import batch_likelihood
 from ..kernels.propagation import batch_propagate
 from ..models.measurement import BearingMeasurement, wrap_angle
 from ..network.messages import MeasurementMessage, ParticleMessage

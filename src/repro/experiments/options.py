@@ -7,14 +7,13 @@ widened the signature of every wrapper that forwards to the runner.  This
 module freezes that growth: all run-shaping knobs live in one immutable
 :class:`RunOptions` value that callers build once and pass as ``options=``.
 
-The old bare keyword arguments (``fault_plan`` / ``on_iteration`` / ``bus``
-passed directly to ``run_tracking``) went through a warn-once deprecation
-shim for one release and are now rejected with a :class:`TypeError` naming
-the offending keywords and the ``options=RunOptions(...)`` migration.  The
-checkpoint kwargs (``checkpoint_every`` / ``checkpoint_sink`` /
-``resume_from``) are in the warn-once stage of the same migration: they
-still work for one release, folding into a :class:`CheckpointPolicy`, and
-new code passes ``options=RunOptions(checkpoint=CheckpointPolicy(...))``.
+The old bare keyword arguments (``fault_plan`` / ``on_iteration`` / ``bus``,
+and later ``checkpoint_every`` / ``checkpoint_sink`` / ``resume_from``)
+passed directly to ``run_tracking`` each went through a warn-once
+deprecation shim for one release and are now rejected with a
+:class:`TypeError` naming the offending keywords and the
+``options=RunOptions(...)`` migration; checkpointing travels as
+``options=RunOptions(checkpoint=CheckpointPolicy(...))``.
 
 For per-iteration observation, prefer subscribing to the event bus over the
 legacy callback::
@@ -100,31 +99,12 @@ class RunOptions:
     checkpoint:
         A :class:`CheckpointPolicy` shaping periodic snapshots and resume;
         ``None`` runs without checkpointing.
-    kernel_backend:
-        Kernel backend requested for the run's hot paths (see
-        :mod:`repro.kernels.backends`): ``"numpy"`` (the reference) or
-        ``"numba"`` (JIT-compiled, bit-identical by contract).  ``None``
-        keeps the process default.  The request is scoped to each
-        :meth:`~repro.experiments.runner.TrackingRun.step`, so interleaved
-        runs (the service) can mix backends; a process pinned via
-        ``REPRO_KERNEL_BACKEND`` overrides it with a warn-once.
     """
 
     fault_plan: "FaultPlan | None" = None
     bus: EventBus | None = None
     on_iteration: IterationCallback | None = None
     checkpoint: CheckpointPolicy | None = None
-    kernel_backend: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kernel_backend is not None:
-            from ..kernels.backends import kernel_backend_names
-
-            if self.kernel_backend not in kernel_backend_names():
-                raise ValueError(
-                    f"unknown kernel_backend {self.kernel_backend!r}; "
-                    f"registered: {list(kernel_backend_names())}"
-                )
 
 
 def iteration_subscriber(callback: IterationCallback) -> Callable[[Any], None]:

@@ -13,9 +13,7 @@ estimate under the iteration it refers to, so RMSE compares like with like.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from ..runtime import EventBus, IterationEvent, PhaseProfile
 from ..runtime.checkpoint import RunCheckpoint, restore_rng, snapshot_rng
 from ..scenario import Scenario, StepContext, Tracker
 from .metrics import ErrorSummary, cost_series, summarize_errors
-from .options import CheckpointPolicy, RunOptions
+from .options import RunOptions
 
 __all__ = [
     "StepOutcome",
@@ -38,34 +36,10 @@ __all__ = [
 ]
 
 #: the bare run-shaping keywords retired in favor of ``options=RunOptions(...)``
-_RETIRED_KWARGS = frozenset({"fault_plan", "on_iteration", "bus"})
-
-#: checkpoint kwargs in the warn-once stage of the same migration
-#: (``options=RunOptions(checkpoint=CheckpointPolicy(...))`` is the new home)
-_DEPRECATED_CHECKPOINT_KWARGS = ("checkpoint_every", "checkpoint_sink", "resume_from")
-_checkpoint_kwargs_warned: set[str] = set()
-
-
-def _warn_checkpoint_kwargs(names: list[str]) -> None:
-    """Warn once per kwarg name per process, mirroring the retired
-    ``fault_plan``/``bus`` migration's one-release deprecation stage."""
-    fresh = [n for n in names if n not in _checkpoint_kwargs_warned]
-    if not fresh:
-        return
-    _checkpoint_kwargs_warned.update(fresh)
-    warnings.warn(
-        f"passing {', '.join(fresh)} directly to run_tracking() is "
-        "deprecated; pass options=RunOptions(checkpoint=CheckpointPolicy("
-        "every=..., sink=..., resume_from=...)) instead.  The bare kwargs "
-        "will be removed next release, like fault_plan/bus before them.",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def reset_checkpoint_kwargs_warning() -> None:
-    """Re-arm the warn-once guard (test isolation helper)."""
-    _checkpoint_kwargs_warned.clear()
+_RETIRED_KWARGS = frozenset({
+    "fault_plan", "on_iteration", "bus",
+    "checkpoint_every", "checkpoint_sink", "resume_from",
+})
 
 
 @dataclass
@@ -321,14 +295,6 @@ class TrackingRun:
             )
         k = self.next_iteration
         options = self.options
-        if options.kernel_backend is not None:
-            from ..kernels.backends import use_kernel_backend
-
-            with use_kernel_backend(options.kernel_backend):
-                return self._step_body(k, options)
-        return self._step_body(k, options)
-
-    def _step_body(self, k: int, options: RunOptions) -> StepOutcome:
         tracker = self.tracker
         fault_plan = options.fault_plan
         if fault_plan is not None:
@@ -427,9 +393,6 @@ def run_tracking(
     *,
     rng: np.random.Generator,
     options: RunOptions | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_sink: Callable[[RunCheckpoint], None] | None = None,
-    resume_from: RunCheckpoint | None = None,
     **retired: object,
 ) -> TrackingResult:
     """Drive ``tracker`` along the whole trajectory and summarize the run.
@@ -455,10 +418,7 @@ def run_tracking(
     :class:`~repro.runtime.checkpoint.RunCheckpoint` and handed to the
     policy's ``sink``; ``resume_from`` transplants such a checkpoint into a
     freshly built, configuration-identical run and continues from the next
-    iteration — bit-identical to the uninterrupted run.  The bare
-    ``checkpoint_every``/``checkpoint_sink``/``resume_from`` kwargs are a
-    deprecated spelling of the same policy (warn-once, removed next
-    release).
+    iteration — bit-identical to the uninterrupted run.
     """
     if retired:
         names = sorted(set(retired) & _RETIRED_KWARGS)
@@ -473,38 +433,6 @@ def run_tracking(
         )
     if options is None:
         options = RunOptions()
-    legacy = {
-        name: value
-        for name, value in zip(
-            _DEPRECATED_CHECKPOINT_KWARGS,
-            (checkpoint_every, checkpoint_sink, resume_from),
-        )
-        if value is not None
-    }
-    if legacy:
-        if options.checkpoint is not None:
-            # rejected outright — don't also burn the one-shot deprecation
-            # warning on a call that never runs
-            raise TypeError(
-                "pass checkpointing either as options.checkpoint or as the "
-                f"deprecated bare {', '.join(sorted(legacy))} keyword(s), "
-                "not both"
-            )
-        _warn_checkpoint_kwargs(sorted(legacy))
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        if checkpoint_every is not None and checkpoint_sink is None:
-            raise ValueError("checkpoint_every requires a checkpoint_sink callable")
-        options = replace(
-            options,
-            checkpoint=CheckpointPolicy(
-                every=checkpoint_every,
-                sink=checkpoint_sink,
-                resume_from=resume_from,
-            ),
-        )
     return TrackingRun(
         tracker, scenario, trajectory, rng=rng, options=options
     ).run()

@@ -10,7 +10,6 @@ from .diagnostics import (
 )
 from .gmm import GaussianMixture, fit_gmm
 from .kalman import ExtendedKalmanFilter, KalmanFilter, bearing_jacobian, range_jacobian
-from .kld import KLDSampler, kld_bound
 from .particles import ParticleSet, normalize_log_weights
 from .resampling import (
     RESAMPLERS,
@@ -27,7 +26,6 @@ __all__ = [
     "unique_ancestors", "weight_entropy",
     "GaussianMixture", "fit_gmm",
     "ExtendedKalmanFilter", "KalmanFilter", "bearing_jacobian", "range_jacobian",
-    "KLDSampler", "kld_bound",
     "ParticleSet", "normalize_log_weights",
     "RESAMPLERS", "get_resampler", "multinomial_resample", "residual_resample",
     "stratified_resample", "systematic_resample",

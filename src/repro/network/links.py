@@ -47,11 +47,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels import link_uniform_many  # dispatching: honors backend switches
 from ..kernels.delivery import (
     OUTCOME_DELAY,
     OUTCOME_DELIVER,
     OUTCOME_DROP,
+    link_uniform_many,
 )
 
 __all__ = [

@@ -103,6 +103,8 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
             n = int(length)
         except ValueError:
             raise HttpError(400, f"bad Content-Length {length!r}")
+        if n < 0:
+            raise HttpError(400, f"bad Content-Length {length!r}")
         if n > _MAX_BODY_BYTES:
             raise HttpError(413, "request body too large")
         if n:
@@ -180,7 +182,10 @@ async def ws_recv(
     """Next text payload from the client; None once the peer closes.
 
     Control frames are handled inline: ping is answered with pong, close
-    with a close echo.  Client frames must be masked per the RFC.
+    with a close echo.  Client frames must be masked per the RFC; an
+    unmasked frame, a frame or reassembled message longer than the request
+    body limit, or a text message that is not UTF-8 ends the connection
+    (None), so no client can make the server buffer without bound.
     """
     buffer = b""
     while True:
@@ -190,19 +195,21 @@ async def ws_recv(
             return None
         fin = bool(head[0] & 0x80)
         opcode = head[0] & 0x0F
-        masked = bool(head[1] & 0x80)
+        if not head[1] & 0x80:
+            return None  # unmasked client frame
         n = head[1] & 0x7F
         try:
             if n == 126:
                 n = struct.unpack(">H", await reader.readexactly(2))[0]
             elif n == 127:
                 n = struct.unpack(">Q", await reader.readexactly(8))[0]
-            mask = await reader.readexactly(4) if masked else b""
+            if len(buffer) + n > _MAX_BODY_BYTES:
+                return None
+            mask = await reader.readexactly(4)
             payload = await reader.readexactly(n) if n else b""
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
-        if masked:
-            payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
         if opcode == 0x8:  # close
             try:
                 await ws_send_close(writer)
@@ -218,5 +225,7 @@ async def ws_recv(
         buffer += payload
         if not fin:
             continue
-        text, buffer = buffer, b""
-        return text.decode("utf-8")
+        try:
+            return buffer.decode("utf-8")
+        except UnicodeDecodeError:
+            return None

@@ -78,22 +78,10 @@ class ServiceConfig:
     idle_timeout_s: float | None = None
     #: JSONL file for durable checkpoints (None = in-memory only)
     store_path: str | Path | None = None
-    #: kernel backend requested for every worker (see
-    #: :mod:`repro.kernels.backends`); None keeps the process default.
-    #: Workers pre-compile ("warm up") their kernels at spawn either way.
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.kernel_backend is not None:
-            from ..kernels.backends import kernel_backend_names
-
-            if self.kernel_backend not in kernel_backend_names():
-                raise ValueError(
-                    f"unknown kernel_backend {self.kernel_backend!r}; "
-                    f"registered: {list(kernel_backend_names())}"
-                )
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -186,10 +174,7 @@ class SessionManager:
 
     async def start(self) -> None:
         self.started_at = time.monotonic()
-        self.workers = [
-            WorkerHandle(i, kernel_backend=self.config.kernel_backend)
-            for i in range(self.config.n_workers)
-        ]
+        self.workers = [WorkerHandle(i) for i in range(self.config.n_workers)]
         self._failover_locks = {w.index: asyncio.Lock() for w in self.workers}
         await asyncio.gather(*(w.call("ping") for w in self.workers))
         if self.config.idle_timeout_s is not None:
@@ -483,9 +468,7 @@ class SessionManager:
             if current is not None and current is not worker and current.alive:
                 return  # another caller already completed this failover
             self.failovers_total += 1
-            replacement = WorkerHandle(
-                worker.index, kernel_backend=self.config.kernel_backend
-            )
+            replacement = WorkerHandle(worker.index)
             await replacement.call("ping")
             self.workers = [
                 replacement if w.index == worker.index else w for w in self.workers
@@ -616,15 +599,12 @@ class SessionManager:
         }
 
     def metrics(self) -> dict:
-        from ..kernels.backends import kernel_backend_info
-
         now = time.monotonic()
         recent = sum(1 for t in self._recent_steps if now - t <= 5.0)
         by_state: dict[str, int] = {}
         for record in self.sessions.values():
             by_state[record.state] = by_state.get(record.state, 0) + 1
         return {
-            "kernel_backend": kernel_backend_info(),
             "uptime_s": (now - self.started_at) if self.started_at else 0.0,
             "sessions_live": len(self.sessions),
             "sessions_by_state": by_state,

@@ -40,13 +40,7 @@ def _dispatch(sessions: dict, request: dict) -> Any:
 
     op = request["op"]
     if op == "ping":
-        from ..kernels.backends import kernel_backend_info
-
-        return {
-            "pid": os.getpid(),
-            "sessions": len(sessions),
-            "kernel_backends": kernel_backend_info()["kernels"],
-        }
+        return {"pid": os.getpid(), "sessions": len(sessions)}
     if op == "create":
         session_id = request["session_id"]
         if session_id in sessions:
@@ -85,24 +79,13 @@ def _dispatch(sessions: dict, request: dict) -> Any:
     raise ServiceError(f"unknown worker op {op!r}")
 
 
-def worker_main(conn, kernel_backend: str | None = None) -> None:
+def worker_main(conn) -> None:
     """Body of one worker process: serve requests until EOF or shutdown.
 
     SIGTERM is left at its default (terminate): the manager treats a vanished
     worker as failover, and the CI smoke drill kills workers exactly this way.
-
-    ``kernel_backend`` applies a run-scoped kernel-backend selection for the
-    worker's whole lifetime and pre-compiles the JIT variants before the
-    first request, so no session pays compilation latency mid-step.  An
-    environment pin (``REPRO_KERNEL_BACKEND``) still wins, with a warn-once.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns ^C
-    from ..kernels import backends as _kernel_backends
-
-    if kernel_backend is not None:
-        # worker-lifetime scope: entered once, never exited
-        _kernel_backends.use_kernel_backend(kernel_backend).__enter__()
-    _kernel_backends.warm_up_kernels()
     sessions: dict[str, Any] = {}
     while True:
         try:
@@ -157,12 +140,11 @@ class WorkerHandle:
 
     _ids = itertools.count(1)
 
-    def __init__(self, index: int, kernel_backend: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        self.kernel_backend = kernel_backend
         self._parent_conn, child_conn = _SPAWN.Pipe()
         self.process = _SPAWN.Process(
-            target=worker_main, args=(child_conn, kernel_backend), daemon=True,
+            target=worker_main, args=(child_conn,), daemon=True,
             name=f"repro-service-worker-{index}",
         )
         self.process.start()

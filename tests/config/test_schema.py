@@ -72,9 +72,14 @@ class TestValidationNamesTheField:
 
 
 class TestFromDict:
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="telemetry"):
-            ScenarioConfig.from_dict({"telemetry": {}})
+    # kernel_backend is a retired top-level key: it now takes the same path
+    @pytest.mark.parametrize("key, value", [
+        ("telemetry", {}),
+        ("kernel_backend", "auto"),
+    ], ids=["telemetry", "kernel_backend"])
+    def test_unknown_section_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig.from_dict({key: value})
 
     def test_unknown_section_key_names_path(self):
         with pytest.raises(ConfigError, match="radio"):

@@ -30,10 +30,14 @@ def _run(small_scenario, small_trajectory, **kwargs):
 
 
 class TestRetiredLegacyKwargs:
-    """The bare fault_plan/on_iteration/bus kwargs went through one release
-    of warn-once deprecation and are now rejected outright."""
+    """The bare fault_plan/on_iteration/bus and checkpoint_every/
+    checkpoint_sink/resume_from kwargs each went through one release of
+    warn-once deprecation and are now rejected outright."""
 
-    @pytest.mark.parametrize("name", ["fault_plan", "on_iteration", "bus"])
+    @pytest.mark.parametrize("name", [
+        "fault_plan", "on_iteration", "bus",
+        "checkpoint_every", "checkpoint_sink", "resume_from",
+    ])
     def test_retired_kwarg_raises_with_migration_hint(
         self, small_scenario, small_trajectory, name
     ):
@@ -75,81 +79,11 @@ class TestRetiredLegacyKwargs:
 
     def test_shim_helpers_are_gone(self):
         from repro.experiments import options as options_mod
+        from repro.experiments import runner as runner_mod
 
         assert not hasattr(options_mod, "warn_legacy_run_kwargs")
         assert not hasattr(options_mod, "reset_legacy_kwargs_warning")
-
-
-class TestDeprecatedCheckpointKwargs:
-    """The bare checkpoint_every/checkpoint_sink/resume_from kwargs are in
-    their one release of warn-once deprecation before retirement, exactly
-    like the fault_plan/on_iteration/bus migration before them."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        from repro.experiments.runner import reset_checkpoint_kwargs_warning
-
-        reset_checkpoint_kwargs_warning()
-        yield
-        reset_checkpoint_kwargs_warning()
-
-    def test_bare_kwargs_warn_and_still_work(self, small_scenario, small_trajectory):
-        sinks: list = []
-        with pytest.warns(DeprecationWarning, match="CheckpointPolicy"):
-            via_kwargs = _run(
-                small_scenario, small_trajectory,
-                checkpoint_every=1, checkpoint_sink=sinks.append,
-            )
-        assert len(sinks) == small_trajectory.n_iterations
-        via_policy_sinks: list = []
-        via_policy = _run(
-            small_scenario, small_trajectory,
-            options=RunOptions(checkpoint=CheckpointPolicy(
-                every=1, sink=via_policy_sinks.append)),
-        )
-        assert np.array_equal(
-            via_kwargs.bytes_per_iteration, via_policy.bytes_per_iteration
-        )
-        assert len(via_policy_sinks) == len(sinks)
-
-    def test_warning_fires_once_per_process(self, small_scenario, small_trajectory):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _run(small_scenario, small_trajectory,
-                 checkpoint_every=2, checkpoint_sink=lambda cp: None)
-            _run(small_scenario, small_trajectory,
-                 checkpoint_every=2, checkpoint_sink=lambda cp: None)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1  # one combined warning, first call only
-        assert "checkpoint_every" in str(deprecations[0].message)
-        assert "checkpoint_sink" in str(deprecations[0].message)
-
-    def test_bare_kwargs_conflict_with_policy(self, small_scenario, small_trajectory):
-        with pytest.raises(TypeError, match="both"):
-            _run(
-                small_scenario, small_trajectory,
-                options=RunOptions(checkpoint=CheckpointPolicy(
-                    every=1, sink=lambda cp: None)),
-                checkpoint_every=1, checkpoint_sink=lambda cp: None,
-            )
-
-    def test_policy_path_never_warns(self, small_scenario, small_trajectory):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            _run(
-                small_scenario, small_trajectory,
-                options=RunOptions(checkpoint=CheckpointPolicy(
-                    every=1, sink=lambda cp: None)),
-            )
-
-    def test_legacy_validation_messages_preserved(self, small_scenario, small_trajectory):
-        with pytest.raises(ValueError, match=">= 1"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            _run(small_scenario, small_trajectory,
-                 checkpoint_every=0, checkpoint_sink=lambda cp: None)
-        with pytest.raises(ValueError, match="checkpoint_sink"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            _run(small_scenario, small_trajectory, checkpoint_every=2)
+        assert not hasattr(runner_mod, "reset_checkpoint_kwargs_warning")
 
 
 class TestCheckpointPolicy:
@@ -165,6 +99,15 @@ class TestCheckpointPolicy:
         policy = CheckpointPolicy()
         with pytest.raises(AttributeError):
             policy.every = 2
+
+    def test_policy_path_never_warns(self, small_scenario, small_trajectory):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            _run(
+                small_scenario, small_trajectory,
+                options=RunOptions(checkpoint=CheckpointPolicy(
+                    every=1, sink=lambda cp: None)),
+            )
 
 
 class TestIterationSubscriber:

@@ -83,6 +83,25 @@ class TestBatchPropagate:
         assert np.array_equal(ids[sel], rec_ids)
         assert np.array_equal(k_probs, probs)
 
+    def test_top_k_ties_break_by_ascending_id(self):
+        """Equal probabilities past the top-k cap keep the lowest ids."""
+        # four candidates equidistant from the predicted point -> equal p
+        pos = np.array([[40.0, 50.0], [60.0, 50.0], [50.0, 40.0], [50.0, 60.0]])
+        ids = np.array([3, 1, 4, 2], dtype=np.intp)
+        pred = np.array([50.0, 50.0])
+        config = PropagationConfig(
+            predicted_area_radius=30.0, record_threshold=0.0, max_recorders=2
+        )
+        rec_ids, probs = select_recorders(ids, pos, pred, config)
+        assert rec_ids.tolist() == [1, 2]
+        assert probs[0] == probs[1]
+        e_sel, e_probs, _ = _scalar_reference(
+            pred, 1.0, ids, pos, area_radius=30.0, record_threshold=0.0,
+            max_recorders=2,
+        )
+        assert np.array_equal(ids[e_sel], rec_ids)
+        assert np.array_equal(e_probs, probs)
+
     def test_candidate_order_invariance(self):
         """Shuffling the candidate array changes indices, not the id->share map."""
         rng = np.random.default_rng(10)

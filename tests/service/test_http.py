@@ -16,7 +16,8 @@ import pytest
 
 from repro.config import run_config, run_fingerprint
 from repro.service import ServiceConfig, TrackingService
-from repro.service.http import websocket_accept
+from repro.service import http as http_mod
+from repro.service.http import HttpError, read_request, websocket_accept, ws_recv
 
 from .conftest import small_config
 
@@ -249,3 +250,81 @@ class TestWebSocketStream:
 
         raw = run(with_service(ServiceConfig(n_workers=1), body))
         assert b"404" in raw.split(b"\r\n", 1)[0]
+
+
+# -- untrusted input on a fed stream ---------------------------------------
+
+
+def _fed_reader(data: bytes, *, eof: bool = True) -> asyncio.StreamReader:
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    if eof:
+        reader.feed_eof()
+    return reader
+
+
+def _client_frame(payload: bytes, *, opcode=0x1, fin=True, masked=True,
+                  declared=None) -> bytes:
+    """One client-to-server frame; ``declared`` overrides the length field."""
+    n = len(payload) if declared is None else declared
+    head = bytes([(0x80 if fin else 0) | opcode])
+    mask_bit = 0x80 if masked else 0
+    if n < 126:
+        head += bytes([mask_bit | n])
+    elif n < 1 << 16:
+        head += bytes([mask_bit | 126]) + struct.pack(">H", n)
+    else:
+        head += bytes([mask_bit | 127]) + struct.pack(">Q", n)
+    if not masked:
+        return head + payload
+    mask = b"\x01\x02\x03\x04"
+    return head + mask + bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+
+
+def _recv(data: bytes, *, eof: bool = True):
+    async def body():
+        return await asyncio.wait_for(
+            ws_recv(_fed_reader(data, eof=eof), writer=None), 2
+        )
+
+    return run(body())
+
+
+class TestUntrustedFraming:
+    def test_negative_content_length_is_400(self):
+        async def body():
+            reader = _fed_reader(
+                b"POST /sessions HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+            )
+            return await read_request(reader)
+
+        with pytest.raises(HttpError) as excinfo:
+            run(body())
+        assert excinfo.value.status == 400
+
+    def test_masked_fragments_reassemble(self):
+        data = (
+            _client_frame(b"hel", fin=False)
+            + _client_frame(b"lo", opcode=0x0)
+        )
+        assert _recv(data) == "hello"
+
+    def test_unmasked_frame_closes(self):
+        assert _recv(_client_frame(b"hi", masked=False)) is None
+
+    def test_oversize_declared_length_closes_without_reading(self):
+        # a 64-bit length with no payload behind it: the server must refuse
+        # the frame from its header instead of waiting to buffer 1 TiB
+        data = _client_frame(b"", declared=1 << 40)[:10]
+        assert _recv(data, eof=False) is None
+
+    def test_oversize_reassembled_message_closes(self, monkeypatch):
+        monkeypatch.setattr(http_mod, "_MAX_BODY_BYTES", 8)
+        data = b"".join(
+            _client_frame(b"abcd", opcode=0x1 if i == 0 else 0x0, fin=False)
+            for i in range(3)
+        ) + _client_frame(b"", opcode=0x0)
+        assert _recv(data) is None
+
+    def test_non_utf8_text_closes(self):
+        assert _recv(_client_frame(b"\xff\xfe")) is None
