@@ -251,11 +251,11 @@ class CompiledRun:
 
         ``backend`` mirrors :func:`~repro.experiments.engine.run_sweep`:
         ``None``/``"serial"`` execute in-process; ``"batched"`` is accepted
-        for symmetry and routes down the per-run serial path — a compiled
-        config builds its tracker through ``make_tracker`` with arbitrary
-        config kwargs, which is exactly the envelope the lock-step backend's
-        ``partition_batchable`` sends to the per-cell fallback.  The result
-        is bit-identical either way, which is the backend contract.
+        for symmetry and runs the same per-run path — the lock-step
+        backend's gain is sharing one world across the algorithms of a
+        sweep cell, and a single run has no second algorithm to share with.
+        Every backend steps the same tracker phases, so the result is
+        bit-identical either way.
         ``"process"`` is rejected: a single run has nothing to fan out.
 
         ``checkpoint`` is a :class:`~repro.experiments.options.

@@ -27,6 +27,37 @@ Implementation discipline: every per-node decision uses only that node's
 local knowledge (its position, its neighbor table, its inbox).  The harness
 computes *which* nodes to iterate over globally — a pure scheduling shortcut
 that does not leak information into any node's decision.
+
+Each phase has exactly one implementation, here: serial sweeps, the
+lock-step sweep backend, service sessions, checkpoint replay and the fuzz
+harness all run it.  Its vectorized forms are bit-exact replicas of the
+per-node computations they replace, and each is chosen from state the code
+can observe (never from a user flag):
+
+* **direct handoff on a reliable medium** (``not medium.is_unreliable``):
+  every broadcast reaches exactly the available nodes within comm radius
+  (the medium's own ``d2 <= r^2`` membership test, replicated bitwise) and
+  an inbox holds only this round's broadcasts in sorted-sender order, so
+  the likelihood phase reads every holder's inbox from one (holders,
+  sharers) mask.  The messages still go through the medium, which charges
+  the same per-``(iteration, category, phase)`` ledger rows;
+* **grouped combination**: a stable sort over all recorded ``(recorder,
+  share, velocity)`` triples keeps broadcast order inside every recorder's
+  group, so each group sums the same floats in the same order as
+  :func:`~repro.core.propagation.combine_shares` on a per-recorder list;
+* **RNG draw order**: ``Generator.uniform(size=n)`` produces the same
+  stream as ``n`` scalar draws (pinned by a test), so the creation gate
+  takes its draws at once in sorted-candidate order;
+* **estimation-area geometry**: when ``2 R_s <= 0.999 R_c`` (the paper's
+  R_s <= R_c/2 with margin) all nodes of one estimation area are mutual
+  one-hop neighbors, so one padded disk query followed by the exact
+  in-area expression yields every holder's ``neighbors ∩ area``;
+* **exact counts without lists**: degrees are warmed in one batch before
+  the per-node reads (``NeighborTables.warm_degrees``).
+
+``tests/core/cdpf_fold_golden.json`` pins every path (paper grid plus the
+test-only configurations) to the outputs recorded before these forms were
+folded in.
 """
 
 from __future__ import annotations
@@ -35,6 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..kernels.contributions import batch_contributions
 from ..kernels.geometry import norm2d_many
 from ..kernels.likelihood import batch_likelihood
 from ..kernels.propagation import batch_implied_velocities, batch_propagate
@@ -42,8 +74,7 @@ from ..models.measurement import wrap_angle
 from ..network.messages import MeasurementMessage, ParticleMessage
 from ..runtime import IterationState, Phase, PhasePipeline, TrackerStats
 from ..scenario import Scenario, StepContext
-from .contributions import estimated_contributions
-from .propagation import HeldParticle, PropagationConfig, combine_shares
+from .propagation import HeldParticle, PropagationConfig
 
 __all__ = ["CDPFTracker", "CDPFStats", "bearing_log_kernel"]
 
@@ -331,35 +362,34 @@ class CDPFTracker:
         # Under an unreliable channel each broadcast's per-recipient drop
         # record is kept: a node that lost a copy can neither record a share
         # from it nor count its weight in the overheard total.
-        broadcast: list[ParticleMessage] = []
+        senders = [nid for nid in sorted(self.holders) if self.medium.is_available(nid)]
+        particles = [self.holders[nid] for nid in senders]
+        # the round's (position ++ velocity, weight) rows, one per message
+        states = np.concatenate(
+            [positions[senders], np.array([p.velocity for p in particles]).reshape(-1, 2)],
+            axis=1,
+        )
+        weights = np.array([p.weight for p in particles], dtype=np.float64)
         batch = self.medium.transmission_batch(k)
-        for nid in sorted(self.holders):
-            if not self.medium.is_available(nid):
-                continue
-            particle = self.holders[nid]
-            msg = ParticleMessage(
-                sender=nid,
-                iteration=k,
-                states=particle.state(positions[nid])[None, :],
-                weights=np.array([particle.weight]),
-            )
+        for nid, msg in zip(senders, ParticleMessage.round_of(senders, k, states, weights)):
             batch.broadcast(nid, msg)
-            broadcast.append(msg)
-        state.broadcast = broadcast
-        # per-broadcast recipients that lost the copy, aligned with broadcast
+        state.broadcast = (states, weights)
+        # per-broadcast recipients that lost the copy, aligned with the rows
         state.lost_sets = [
-            set(delivery.dropped.tolist()) | set(delivery.delayed.tolist())
-            for delivery in batch.flush()
+            set(d.dropped.tolist()) | set(d.delayed.tolist())
+            if d.dropped.size or d.delayed.size
+            else set()
+            for d in batch.flush()
         ]
-        if not broadcast:
+        if not senders:
             # the whole population became unavailable: the track is lost and
             # detection-driven creation must rebuild it
             self.holders = {}
 
     def _phase_correction(self, state: IterationState) -> None:
         """Steps 1b + 2: overheard total, record/divide/combine, normalize, drop."""
-        broadcast: list[ParticleMessage] = state.broadcast
-        if not broadcast:
+        states, weights = state.broadcast
+        if not weights.size:
             return  # nothing was propagated; the estimate stays unavailable
         lost_sets: list[set[int]] = state.lost_sets
         k = state.iteration
@@ -369,8 +399,6 @@ class CDPFTracker:
         cfg = self.config
 
         # --- overheard aggregate (identical at every in-area node) --------
-        states = np.vstack([m.states for m in broadcast])
-        weights = np.concatenate([m.weights for m in broadcast])
         total = float(weights.sum())
         w_eff = weights if total > 0 else np.full(weights.shape[0], 1.0 / weights.shape[0])
         total_eff = float(w_eff.sum())
@@ -402,8 +430,6 @@ class CDPFTracker:
         comm_radius = self.scenario.radio.comm_radius
         self._last_sender_positions = states[:, :2]
         self._last_predictions = states[:, :2] + states[:, 2:] * dt
-        shares_at: dict[int, list[tuple[float, np.ndarray]]] = {}
-        all_recorder_ids: set[int] = set()
         # In track mode every holder carries the same consensus velocity, and
         # the natural propagation target is the *consensus* predicted
         # position (Definition 1's estimation area is the disk around "the
@@ -443,12 +469,13 @@ class CDPFTracker:
         sender_pos_all = states[:, :2]
         sender_vel_all = states[:, 2:]
         if consensus_pred is not None:
-            preds = np.broadcast_to(consensus_pred, (len(broadcast), 2))
+            preds = np.broadcast_to(consensus_pred, (weights.shape[0], 2))
             cand = index.query_disk(consensus_pred, cfg.predicted_area_radius)
             in_area_masks = None
         else:
             preds = sender_pos_all + sender_vel_all * dt
             cand = index.query_disk_many(preds, cfg.predicted_area_radius)
+        selected = []
         if cand.size:
             cand_pos = positions[cand]
             if consensus_pred is None:
@@ -462,7 +489,8 @@ class CDPFTracker:
             keep_masks = np.sqrt(sdx * sdx + sdy * sdy) <= comm_radius
             if in_area_masks is not None:
                 keep_masks &= in_area_masks
-            keep_masks &= self._available_mask(cand)[None, :]
+            if self.anticipate_available is not None:
+                keep_masks &= self._available_mask(cand)[None, :]
             for bi, lost in enumerate(lost_sets):
                 if lost:
                     # a candidate that lost this copy never heard the
@@ -480,29 +508,23 @@ class CDPFTracker:
                 max_recorders=cfg.max_recorders,
                 keep_masks=keep_masks,
             )
-        else:
-            selected = [(np.zeros(0, dtype=np.intp),) * 3] * len(broadcast)
-        for bi in range(len(broadcast)):
-            sel, _, rec_shares = selected[bi]
-            if sel.size == 0:
-                continue
-            rec_ids = cand[sel]
-            all_recorder_ids.update(rec_ids.tolist())
+        # every recorded (recorder, share, velocity) triple, broadcast-major
+        combined: dict[int, HeldParticle] = {}
+        kept = [(bi, sel, sh) for bi, (sel, _, sh) in enumerate(selected) if sel.size]
+        if kept:
+            rids = cand[np.concatenate([sel for _, sel, _ in kept])]
+            senders = np.repeat([bi for bi, _, _ in kept], [sel.size for _, sel, _ in kept])
             vels = batch_implied_velocities(
-                sender_pos_all[bi],
-                positions[rec_ids],
-                sender_vel_all[bi],
+                sender_pos_all[senders],
+                positions[rids],
+                sender_vel_all[senders],
                 dt,
                 cfg.velocity_mode,
                 cfg.velocity_alpha,
                 track_velocity=self._velocity_estimate,
             )
-            for i, (rid, share) in enumerate(zip(rec_ids.tolist(), rec_shares.tolist())):
-                # anticipated recorders that are actually unavailable lose
-                # their share (weight leak — the §V-D uncertain-factor case)
-                if not self.medium.is_available(rid):
-                    continue
-                shares_at.setdefault(rid, []).append((share, vels[i]))
+            shares = np.concatenate([sh for _, _, sh in kept])
+            combined = self._combine_recorded(rids, shares, vels)
 
         # Drop rule (the correction step's "resampling"): discard recorded
         # particles whose share is below drop_threshold times the largest
@@ -513,7 +535,6 @@ class CDPFTracker:
         # Relative-to-max pruning is scale-free in the weights, so it cannot
         # go extinct and the surviving holder count is set by geometry —
         # growing with deployment density exactly as §III-A describes.
-        combined = {rid: combine_shares(shares_at[rid]) for rid in sorted(shares_at)}
         any_lost = any(lost_sets)
         if not combined and any_lost:
             # Graceful degradation: the correction round lost quorum — every
@@ -575,6 +596,36 @@ class CDPFTracker:
         self.medium.clear_inboxes()
         state.estimate = estimate
 
+    def _combine_recorded(self, rids, shares, vels) -> dict[int, HeldParticle]:
+        """§III-A combination: merge each recorder's shares into one particle.
+
+        One stable sort over the concatenated ``(recorder, share, velocity)``
+        triples groups them per recorder while keeping broadcast order inside
+        each group, so every group sums the same values in the same order as
+        :func:`~repro.core.propagation.combine_shares` on that recorder's
+        list, and the result is keyed in sorted-recorder order.  Anticipated
+        recorders that are actually unavailable lose their share (weight
+        leak — the §V-D uncertain-factor case).
+        """
+        combined: dict[int, HeldParticle] = {}
+        live = self.medium.available_mask(rids)
+        if not live.all():
+            rids, shares, vels = rids[live], shares[live], vels[live]
+            if rids.size == 0:
+                return combined
+        order = np.argsort(rids, kind="stable")
+        rids, shares, vels = rids[order], shares[order], vels[order]
+        bounds = np.flatnonzero(np.concatenate([[True], rids[1:] != rids[:-1], [True]]))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            w = shares[a:b]
+            total = float(w.sum())
+            if total > 0.0:
+                velocity = (w / total) @ vels[a:b]
+            else:  # pragma: no cover - recorded shares are strictly positive
+                velocity = vels[a:b].mean(axis=0)
+            combined[int(rids[a])] = HeldParticle(velocity=velocity, weight=total)
+        return combined
+
     def _send_estimate_report(self, estimate: np.ndarray, k: int) -> None:
         """Route the correction-step estimate from the top holder to the sink."""
         from ..network.messages import EstimateReportMessage
@@ -633,58 +684,72 @@ class CDPFTracker:
         likelihood/NE multiplier — initialization assigns a constant weight),
         which is the channel that re-anchors a drifting track to physical
         detections.  Returns the created node ids.
+
+        Each candidate's hearing and slack tests are local (its position
+        against the overheard senders and predictions); they are evaluated
+        for all candidates as one (candidates, senders) matrix test.  The
+        rate limit's draws are taken as one ``uniform(size=n)`` in
+        sorted-candidate order, the same stream as ``n`` scalar draws.
         """
         positions = self.scenario.deployment.positions
-        if self.holders:
-            base_weight = float(np.mean([p.weight for p in self.holders.values()]))
+        holders = self.holders
+        if holders:
+            base_weight = float(np.mean([p.weight for p in holders.values()]))
         else:
             base_weight = self.initial_weight
+        cand = [
+            nid
+            for nid in sorted(detectors)
+            if nid not in holders and self.medium.is_available(nid)
+        ]
+        if not cand:
+            return set()
         sender_pos = self._last_sender_positions
         predictions = self._last_predictions
-        comm_r2 = self.scenario.radio.comm_radius**2
-        slack_r = self.config.creation_slack * self.config.predicted_area_radius
+        if sender_pos is not None and sender_pos.size:
+            cpos = positions[cand]
+            d2 = np.sum((sender_pos[None, :, :] - cpos[:, None, :]) ** 2, axis=2)
+            heard = d2 <= self.scenario.radio.comm_radius**2
+            heard_any = heard.any(axis=1)
+            # it overheard propagation: create only if it sits outside every
+            # predicted area (with slack).  Under consensus prediction there
+            # is a single area; otherwise one per overheard sender.
+            d_pred = np.sqrt(np.sum((predictions[None, :, :] - cpos[:, None, :]) ** 2, axis=2))
+            within = d_pred <= self.config.creation_slack * self.config.predicted_area_radius
+            if predictions.shape[0] == sender_pos.shape[0]:
+                within &= heard
+            inside = within.any(axis=1) & heard_any
+        else:
+            heard_any = inside = np.zeros(len(cand), dtype=bool)
+        # local creation rate limit for the outside-area case: keep the
+        # expected creator count at ~creation_limit network-wide.  Detectors
+        # out of earshot entirely skip the limit — they are the re-anchoring
+        # channel and behave like initialization.
+        gated = heard_any & ~inside if holders else np.zeros(len(cand), dtype=bool)
+        n_gate = int(np.count_nonzero(gated))
+        if n_gate:
+            self.neighbors.warm_degrees([nid for nid, g in zip(cand, gated) if g])
+            draws = iter(self.rng.uniform(size=n_gate).tolist())
         area_ratio = (self.scenario.sensing_radius / self.scenario.radio.comm_radius) ** 2
-        track_alive = bool(self.holders)
         v0 = np.asarray(self.scenario.prior_velocity, dtype=np.float64)
+        dt = self.scenario.dynamics.dt
         created: set[int] = set()
-        for nid in sorted(detectors):
-            if nid in self.holders or not self.medium.is_available(nid):
+        for nid, skip, gate in zip(cand, inside.tolist(), gated.tolist()):
+            if skip:
                 continue
-            heard_any = False
-            if sender_pos is not None and sender_pos.size:
-                heard = np.sum((sender_pos - positions[nid]) ** 2, axis=1) <= comm_r2
-                heard_any = bool(heard.any())
-                if heard_any:
-                    # it overheard propagation: create only if it sits outside
-                    # every predicted area (with slack).  Under consensus
-                    # prediction there is a single area; otherwise one per
-                    # overheard sender.
-                    if predictions.shape[0] == sender_pos.shape[0]:
-                        preds_heard = predictions[heard]
-                    else:
-                        preds_heard = predictions
-                    d_pred = np.sqrt(
-                        np.sum((preds_heard - positions[nid]) ** 2, axis=1)
-                    )
-                    if (d_pred <= slack_r).any():
-                        continue
-            if track_alive and heard_any:
-                # local creation rate limit for the outside-area case: keep
-                # the expected creator count at ~creation_limit network-wide.
-                # Detectors out of earshot entirely skip the limit — they are
-                # the re-anchoring channel and behave like initialization.
+            if gate:
                 n_codetectors = max(1.0, (self.neighbors.degree(nid) + 1) * area_ratio)
-                if self.rng.uniform() >= min(1.0, self.config.creation_limit / n_codetectors):
+                if next(draws) >= min(1.0, self.config.creation_limit / n_codetectors):
                     continue
             if self._estimate is not None:
                 # The creator detects the target *now*, so the displacement
                 # from the last consensus estimate to its own position is a
                 # direct (locally computable) velocity observation — the
                 # channel through which the track velocity re-learns turns.
-                velocity = (positions[nid] - self._estimate) / self.scenario.dynamics.dt
+                velocity = (positions[nid] - self._estimate) / dt
             else:
                 velocity = v0.copy()
-            self.holders[nid] = HeldParticle(velocity=velocity, weight=base_weight)
+            holders[nid] = HeldParticle(velocity=velocity, weight=base_weight)
             created.add(nid)
         return created
 
@@ -724,19 +789,25 @@ class CDPFTracker:
         batch.flush()
         # Gather every holder's (sender, measurement) pairs, then evaluate the
         # whole round as one (holders, measurements) log-kernel matrix.  The
-        # matrix columns are the distinct pairs actually sitting in inboxes —
-        # a delayed channel can deliver stale copies whose value differs from
-        # this iteration's reading, so columns key on the pair, not the sender.
+        # matrix columns are the distinct pairs actually heard — a delayed
+        # channel can deliver stale copies whose value differs from this
+        # iteration's reading, so columns key on the pair, not the sender.
+        # Created holders keep their initialization weight.
+        receivers = [r for r in sorted(self.holders) if r not in state.created]
+        if self.medium.is_unreliable:
+            heard = [
+                [(m.sender, m.value) for m in self.medium.collect(r)
+                 if isinstance(m, MeasurementMessage)]
+                for r in receivers
+            ]
+        else:
+            heard = self._heard_reliably(receivers, sharers, ctx)
         rows: list[int] = []
         pair_lists: list[list[tuple[int, float]]] = []
-        for r in sorted(self.holders):
-            if r in state.created:
-                self.medium.collect(r)  # drain; initialization weight stands
-                continue
-            inbox = [m for m in self.medium.collect(r) if isinstance(m, MeasurementMessage)]
-            # a node's own measurement needs no radio message
-            own = [(r, ctx.measurements[r])] if r in detectors else []
-            pairs = [(m.sender, m.value) for m in inbox] + own
+        for r, pairs in zip(receivers, heard):
+            if r in detectors:
+                # a node's own measurement needs no radio message
+                pairs = pairs + [(r, ctx.measurements[r])]
             if not pairs:
                 continue  # no information this iteration; weight unchanged
             rows.append(r)
@@ -748,12 +819,15 @@ class CDPFTracker:
                 for pair in pairs:
                     if pair not in col_of:
                         col_of[pair] = len(col_of)
-            refs = np.vstack(
-                [measurement.reference_point(positions[s]) for s, _ in col_of]
-            )
+            senders = [s for s, _ in col_of]
+            if measurement.reference == "node":
+                refs = positions[senders]
+            else:
+                refs = np.zeros((len(senders), 2))
             zs = np.array([z for _, z in col_of], dtype=np.float64)
             # discretization-aware sigma: local density from each node's degree
             lam_denom = np.pi * self.scenario.radio.comm_radius**2
+            self.neighbors.warm_degrees(rows)
             lam = np.array(
                 [(self.neighbors.degree(r) + 1) / lam_denom for r in rows]
             )
@@ -769,6 +843,29 @@ class CDPFTracker:
                 log_liks[r] = float(matrix[i, cols].mean())
         state.log_liks = log_liks
         self.medium.clear_inboxes()
+
+    def _heard_reliably(self, receivers, sharers, ctx) -> list[list[tuple[int, float]]]:
+        """Each receiver's inbox of this round's measurements, on a reliable medium.
+
+        Every copy reaches exactly the available nodes within comm radius of
+        its sender (the medium's own ``d2 <= r*r`` test over its geometry),
+        and the inbox holds this round's broadcasts only, in sorted-sharer
+        order.  So the inboxes are one (receivers, sharers) mask — the same
+        pairs as draining each inbox, without a per-holder scan of the log.
+        """
+        if not sharers or not receivers:
+            return [[] for _ in receivers]
+        medium = self.medium
+        pairs = [(s, float(ctx.measurements[s])) for s in sharers]
+        spos = medium.positions[sharers]
+        rpos = medium.positions[receivers]
+        dx = rpos[:, None, 0] - spos[None, :, 0]
+        dy = rpos[:, None, 1] - spos[None, :, 1]
+        radius = medium.radio.comm_radius
+        mask = dx * dx + dy * dy <= radius * radius
+        mask &= np.asarray(receivers)[:, None] != np.asarray(sharers)[None, :]
+        mask &= medium.available_mask(receivers)[:, None]
+        return [[pairs[j] for j in np.flatnonzero(row).tolist()] for row in mask]
 
     # ------------------------------------------------------------------
     # step 4: assign weight (likelihood multiply, or NE contribution)
@@ -797,34 +894,94 @@ class CDPFTracker:
         holders = [r for r in sorted(self.holders) if r not in skip]
         if not holders:
             return
-        # Own distances batched in the scalar path's np.linalg.norm (FMA) form;
-        # neighborhood distances batched below in its plain sqrt-of-squares
-        # form — the two differ in the last bit and both are replicated.
+        # Own distances batched in the np.linalg.norm (FMA) form; area
+        # distances in the plain sqrt-of-squares form — the two differ in
+        # the last bit and both are kept as the node programs compute them.
         own_diff = positions[holders] - predicted_now
         d_own = norm2d_many(own_diff[:, 0], own_diff[:, 1])
-        groups: list[tuple[int, np.ndarray]] = []
+        in_area_holders = []
         for i, r in enumerate(holders):
-            particle = self.holders[r]
             if d_own[i] > r_s:
                 # outside the estimation area: zero contribution -> drop later
-                particle.weight = 0.0
-                continue
-            neigh = self.neighbors.neighbors(r)
-            avail = self._available_mask(neigh)
-            groups.append((r, np.append(neigh[avail], r)))  # self is always available
-        if not groups:
+                self.holders[r].weight = 0.0
+            else:
+                in_area_holders.append(r)
+        if not in_area_holders:
             return
-        flat_ids = np.concatenate([ids for _, ids in groups])
+        # Each holder's estimation-area view: its (anticipated-available)
+        # in-area neighbors in sorted order, then itself — as CSR groups of
+        # distances plus the flat position of the holder's own entry.
+        if 2.0 * r_s <= 0.999 * self.scenario.radio.comm_radius:
+            rows, dists, counts, own = self._area_groups_shared(in_area_holders, predicted_now)
+        else:
+            rows, dists, counts, own = self._area_groups_by_neighbors(
+                in_area_holders, predicted_now
+            )
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        contributions = batch_contributions(dists, offsets)
+        for r, c in zip(rows, contributions[offsets[:-1] + own].tolist()):
+            particle = self.holders[r]
+            particle.weight = particle.weight * c
+
+    def _area_groups_shared(self, holders: list[int], predicted_now: np.ndarray):
+        """Estimation areas when R_s <= R_c/2 (the paper's geometry).
+
+        Any two nodes of one estimation area are then mutual one-hop
+        neighbors, so every in-area holder's ``neighbors ∩ area`` is the area
+        itself: one disk query replaces the per-holder neighbor lists.  The
+        query radius is padded so the exact in-area expression decides
+        membership.  A holder's group is the area's anticipated-available
+        members without it, in id order, then the holder itself.
+        """
+        r_s = self.scenario.sensing_radius
+        cand = self.scenario.deployment.index.query_disk(predicted_now, r_s * (1.0 + 1e-9))
+        diff = self.scenario.deployment.positions[cand] - predicted_now
+        dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+        inside = dist <= r_s
+        order = np.argsort(cand[inside])
+        m_ids, m_d = cand[inside][order], dist[inside][order]
+        avail = self._available_mask(m_ids)
+        a_ids, a_d = m_ids[avail], m_d[avail]
+        h = np.asarray(holders)
+        j = np.searchsorted(m_ids, h)
+        if m_ids.size == 0 or not np.array_equal(m_ids[np.minimum(j, m_ids.size - 1)], h):
+            raise RuntimeError("a holder inside its own estimation area is missing from it")
+        listed = avail[j]  # holders the hook left in the area
+        # listed holders: drop the holder's own column, append it last
+        ja = np.searchsorted(a_ids, h[listed])
+        m = a_ids.size
+        cols = np.arange(m - 1)[None, :]
+        cols = np.concatenate([cols + (cols >= ja[:, None]), ja[:, None]], axis=1)
+        rows = h[listed].tolist() + h[~listed].tolist()
+        dists = [a_d[cols].ravel()]
+        counts = [np.full(ja.size, m)]
+        own = [np.full(ja.size, m - 1)]
+        for jj in j[~listed].tolist():  # a hook-excluded holder still counts itself
+            dists.append(np.append(a_d, m_d[jj]))
+            counts.append([m + 1])
+            own.append([m])
+        return rows, np.concatenate(dists), np.concatenate(counts), np.concatenate(own)
+
+    def _area_groups_by_neighbors(self, holders: list[int], predicted_now: np.ndarray):
+        """Estimation areas from each holder's own neighbor table (any geometry)."""
+        positions = self.scenario.deployment.positions
+        r_s = self.scenario.sensing_radius
+        self.neighbors.warm(holders)
+        views = []
+        for r in holders:
+            neigh = self.neighbors.neighbors(r)
+            views.append(np.append(neigh[self._available_mask(neigh)], r))
+        flat_ids = np.concatenate(views)
         diff = positions[flat_ids] - predicted_now
         d_flat = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+        in_area = d_flat <= r_s
+        dists, counts, own = [], [], []
         offset = 0
-        for r, ids in groups:
-            d_all = d_flat[offset : offset + ids.size]
+        for r, ids in zip(holders, views):
+            mask = in_area[offset : offset + ids.size]
+            area_ids = ids[mask]
+            dists.append(d_flat[offset : offset + ids.size][mask])
             offset += ids.size
-            in_area = d_all <= r_s
-            area_ids = ids[in_area]
-            d_area = d_all[in_area]
-            contributions = estimated_contributions(d_area)
-            own_idx = int(np.nonzero(area_ids == r)[0][0])
-            particle = self.holders[r]
-            particle.weight = particle.weight * float(contributions[own_idx])
+            counts.append(area_ids.size)
+            own.append(int(np.nonzero(area_ids == r)[0][0]))
+        return holders, np.concatenate(dists), np.array(counts), np.array(own)

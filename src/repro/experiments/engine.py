@@ -497,7 +497,7 @@ def _execute_task(
     Module-level so it pickles into worker processes; a pure function of
     the spec, which is what makes serial and parallel execution identical.
     The checkpoint parameters default to off so every existing positional
-    call site (including the lock-step backend's fallback) is unchanged;
+    call site is unchanged;
     ``resume_from`` transplants a :class:`~repro.runtime.checkpoint.
     RunCheckpoint` into the freshly built world — the world construction
     itself always runs, because restore-in-place needs the configuration-
@@ -575,11 +575,12 @@ def run_sweep(
       process pool otherwise (the historical behavior);
     * ``"serial"`` — force in-process execution regardless of workers;
     * ``"process"`` — force the process pool (needs ``max_workers > 1``);
-    * ``"batched"`` — group batchable same-``(density, algorithm)`` tasks
-      and advance them in lock-step through the phase pipeline with
-      cross-cell stacked kernels (see :mod:`repro.experiments.lockstep`);
-      tasks whose tracker cannot batch fall back to the serial/process
-      path.  Bit-identical to the serial engine by construction.
+    * ``"batched"`` — build each ``(density, seed)`` world once, share it
+      across the algorithms, and advance same-``(density, algorithm)``
+      CDPF/CDPF-NE tasks in lock-step, each through its own tracker's
+      phase pipeline (see :mod:`repro.experiments.lockstep`); other tasks
+      take the serial/process path.  Bit-identical to the serial engine by
+      construction: both run the same phase bodies.
 
     Every backend produces the same cells in the same task order.
 

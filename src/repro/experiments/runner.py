@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..models.measurement import BearingMeasurement, wrap_angle
 from ..models.trajectory import Trajectory
 from ..runtime import EventBus, IterationEvent, PhaseProfile
 from ..runtime.checkpoint import RunCheckpoint, restore_rng, snapshot_rng
@@ -114,10 +115,26 @@ def generate_step_context(
     positions = physical.positions
     # per-iteration common-mode bearing error, shared by every sensor
     bias = rng.normal(0.0, scenario.measurement_bias_std) if scenario.measurement_bias_std else 0.0
-    measurements = {
-        int(nid): scenario.measurement.measure(target_state, rng, positions[int(nid)]) + bias
-        for nid in detectors
-    }
+    measurement = scenario.measurement
+    if type(measurement) is BearingMeasurement:
+        # BearingMeasurement.measure over the whole detector set: one
+        # arctan2/normal/wrap pass, draw for draw identical to the
+        # per-detector loop (Generator.normal(size=n) produces the same
+        # stream as n scalar draws)
+        ids = np.asarray(detectors, dtype=np.intp).ravel()
+        if measurement.reference == "node":
+            refs = positions[ids]
+        else:
+            refs = np.zeros((ids.size, 2))
+        d = target_state[None, :2] - refs
+        noises = rng.normal(0.0, measurement.noise_std, size=ids.size)
+        zs = wrap_angle(np.arctan2(d[:, 1], d[:, 0]) + noises) + bias
+        measurements = dict(zip(ids.tolist(), zs.tolist()))
+    else:
+        measurements = {
+            int(nid): measurement.measure(target_state, rng, positions[int(nid)]) + bias
+            for nid in detectors
+        }
     return StepContext(iteration=k, detectors=detectors, measurements=measurements)
 
 
@@ -446,7 +463,7 @@ def summarize_tracking_run(
 ) -> TrackingResult:
     """Assemble the :class:`TrackingResult` of a finished run.
 
-    Shared by :func:`run_tracking` and the lock-step batched backend
+    Shared by :func:`run_tracking` and the lock-step scheduler
     (:mod:`repro.experiments.lockstep`), so both execution strategies
     summarize a run through the exact same code path.
     """

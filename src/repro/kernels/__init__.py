@@ -31,17 +31,15 @@ Modules
 
 Cross-cell batch axis
 ---------------------
-The kernels also stack *across simulation cells* (the lock-step sweep
-backend, :mod:`repro.experiments.lockstep`): :func:`batch_likelihood`
-accepts a leading batch axis (``(B, n, 2)`` holders → ``(B, n, m)``
-matrices, each slice bit-identical to its own 2-D call),
-:func:`batch_contributions` + :func:`concat_csr` evaluate many cells'
-estimation areas as one CSR call, :func:`batch_propagate_ragged` carries a
-per-broadcast candidate set so broadcasts from many cells share one
-distance/probability pass, and :func:`link_uniform_many` takes per-copy
-``seed`` / ``sender`` / ``iteration`` arrays so one call can mix link draws
-from many media.  The contract is unchanged: elementwise ops and per-group
-pairwise reductions are bitwise independent of how calls are batched.
+The kernels also accept stacks of independent problems:
+:func:`batch_likelihood` takes a leading batch axis (``(B, n, 2)`` holders
+→ ``(B, n, m)``, each slice bit-identical to its own 2-D call),
+:func:`batch_contributions` + :func:`concat_csr` evaluate many estimation
+areas as one CSR call, :func:`batch_propagate_ragged` gives each broadcast
+its own candidate set, and :func:`link_uniform_many` takes per-copy
+``seed`` / ``sender`` / ``iteration`` arrays.  Elementwise ops and
+per-group pairwise reductions are bitwise independent of how calls are
+batched (``tests/kernels/test_batch_axis.py``).
 
 The kernels depend on numpy only (no imports from the rest of the package),
 so every layer of the simulator may call into them without cycles.

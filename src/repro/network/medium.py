@@ -15,12 +15,16 @@ Semantics follow the paper's round-based simulation:
 
 The plane is organized around **rounds, not messages**: senders enqueue their
 transmissions into a :class:`TransmissionBatch` and one ``flush()`` resolves
-the whole round — receiver sets come from one
+the whole round.  On a reliable medium every in-range available node hears
+every copy, so a broadcast is charged and logged without resolving its
+receiver set; the set is computed only where it is read (an inbox
+``collect``/``peek``, ``pending_nodes``, ``Delivery.receivers``).  A lossy
+round takes its receiver sets from one
 :meth:`~repro.network.spatial.GridIndex.query_disk_many` gather over a shared
 :class:`~repro.network.neighborhood.NeighborhoodCache` (with per-sender
 results cached until availability or positions change), loss/delay outcomes
-come from one :func:`~repro.kernels.delivery.batch_deliver` kernel call over
-every open copy in the round, and the ledger takes one append per message.
+from one :func:`~repro.kernels.delivery.batch_deliver` kernel call over
+every open copy in the round.  The ledger takes one append per message.
 The per-message ``broadcast`` / ``unicast`` / ``unicast_path`` entry points
 are thin wrappers over a one-element batch, so the two call shapes are the
 same code path and stay bit-identical by construction.
@@ -55,7 +59,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -404,13 +407,6 @@ class CommAccounting:
             out[(cat, phase)] += b
         return dict(out)
 
-    def bytes_by_phase_iteration(self) -> dict[tuple[int, str], int]:
-        """(iteration, phase) -> bytes, for per-iteration phase series."""
-        out: dict[tuple[int, str], int] = defaultdict(int)
-        for (it, _cat, phase), (b, _m) in self.by_phase_key.items():
-            out[(it, phase)] += b
-        return dict(out)
-
     def dropped_bytes_by_phase(self) -> dict[str, int]:
         out: dict[str, int] = defaultdict(int)
         for (_it, _cat, phase), (b, _m) in self.dropped_by_phase_key.items():
@@ -475,20 +471,110 @@ class CommAccounting:
         self.total_dropped_messages += other.total_dropped_messages
 
 
-@dataclass(frozen=True)
+class _Reach:
+    """The receivers of one reliable broadcast, resolved only where read.
+
+    Every node within the comm radius of the sender that was available when
+    it sent, the sender excluded: the ``d2 <= r*r`` membership test of
+    :meth:`Medium._offered_misses`, evaluated against the geometry and the
+    availability mask captured at send time (both are replaced, never
+    mutated, on change), so a later fault or mobility step cannot change who
+    heard it.  At paper densities a broadcast reaches hundreds of nodes of
+    which few ever read their inbox, so most reaches are never resolved.
+    """
+
+    __slots__ = ("sender", "_geometry", "_ids")
+
+    def __init__(self, sender: int, geometry: tuple) -> None:
+        self.sender = sender
+        #: (positions, availability mask, neighborhood cache, comm radius)
+        self._geometry = geometry
+        self._ids: np.ndarray | None = None
+
+    def __contains__(self, node: int) -> bool:
+        positions, available, _, radius = self._geometry
+        node = int(node)
+        if node == self.sender or not 0 <= node < available.shape[0] or not available[node]:
+            return False
+        dx = positions[node, 0] - positions[self.sender, 0]
+        dy = positions[node, 1] - positions[self.sender, 1]
+        return bool(dx * dx + dy * dy <= radius * radius)
+
+    def ids(self) -> np.ndarray:
+        """The sorted receiver ids (computed once)."""
+        if self._ids is None:
+            positions, available, neighborhood, radius = self._geometry
+            self._ids = _offered_rows(
+                neighborhood.index, positions, available, [self.sender], radius
+            )[0]
+        return self._ids
+
+
+def _offered_rows(index, positions, available, senders, radius: float) -> list[np.ndarray]:
+    """Per sender: sorted ids in range (``d2 <= r*r``), available, not itself.
+
+    One ``query_disk_many`` gather over all senders, one ``(senders, union)``
+    squared-distance mask (bitwise the ``query_disk`` compare), one
+    availability mask, then per-sender slices of the sorted union.
+    """
+    centers = positions[senders]
+    union = index.query_disk_many(centers, radius)
+    if union.size == 0:
+        return [_EMPTY_IDS] * len(senders)
+    upos = positions[union]
+    dx = upos[None, :, 0] - centers[:, 0:1]
+    dy = upos[None, :, 1] - centers[:, 1:2]
+    keep = (dx * dx + dy * dy <= radius * radius) & available[union][None, :]
+    out = []
+    for row, s in enumerate(senders):
+        offered = union[keep[row]]
+        out.append(offered[offered != s].astype(np.intp, copy=False))
+    return out
+
+
+def _log_ids(receivers) -> np.ndarray:
+    """Receiver ids of one inbox-log entry (resolving a lazy reach)."""
+    return receivers.ids() if type(receivers) is _Reach else receivers
+
+
+def _hears(receivers, node_id: int) -> bool:
+    """Whether one inbox-log entry (sorted ids or a reach) reached the node."""
+    if type(receivers) is _Reach:
+        return node_id in receivers
+    pos = np.searchsorted(receivers, node_id)
+    return bool(pos < receivers.size and receivers[pos] == node_id)
+
+
 class Delivery:
     """Result of one transmission: who heard it, who lost it, what it cost.
 
     ``receivers + dropped + delayed`` partition the recipients the radio
     *offered* the message to (in range and available); a reliable medium
-    always reports empty ``dropped``/``delayed``.
+    always reports empty ``dropped``/``delayed``.  A reliable broadcast
+    resolves ``receivers`` on first read.
     """
 
-    receivers: np.ndarray  # node ids that received the message
-    n_bytes: int
-    n_messages: int
-    dropped: np.ndarray = field(default_factory=lambda: _EMPTY_IDS)  # copies lost in flight
-    delayed: np.ndarray = field(default_factory=lambda: _EMPTY_IDS)  # arrive next iteration
+    __slots__ = ("_receivers", "n_bytes", "n_messages", "dropped", "delayed")
+
+    def __init__(
+        self,
+        receivers,
+        n_bytes: int,
+        n_messages: int,
+        dropped: np.ndarray = _EMPTY_IDS,  # copies lost in flight
+        delayed: np.ndarray = _EMPTY_IDS,  # arrive next iteration
+    ) -> None:
+        self._receivers = receivers
+        self.n_bytes = n_bytes
+        self.n_messages = n_messages
+        self.dropped = dropped
+        self.delayed = delayed
+
+    @property
+    def receivers(self) -> np.ndarray:
+        """Node ids that received the message."""
+        self._receivers = _log_ids(self._receivers)
+        return self._receivers
 
     @property
     def n_offered(self) -> int:
@@ -648,8 +734,9 @@ class Medium:
         else:
             self._neighborhood = NeighborhoodCache(self.positions, radio.comm_radius)
         #: round-structured inbox log: one (sorted receiver ids, message)
-        #: entry per delivery; per-node cursors materialize inboxes lazily
-        self._inbox_log: list[tuple[np.ndarray, Message]] = []
+        #: entry per delivery — a lazy :class:`_Reach` for a reliable
+        #: broadcast; per-node cursors materialize inboxes lazily
+        self._inbox_log: list[tuple[np.ndarray | _Reach, Message]] = []
         self._inbox_cursor: dict[int, int] = {}
         self._asleep: set[int] = set()
         self._failed: set[int] = set()
@@ -658,10 +745,10 @@ class Medium:
         #: rebuild it — broadcast fan-out filters receivers with one gather
         #: instead of a per-copy set lookup
         self._available: np.ndarray = np.ones(self.positions.shape[0], dtype=bool)
-        self._all_available = True
-        #: per-sender offered-receiver overlay (in-range ∩ available, sorted);
-        #: derived from the geometric neighborhood cache and invalidated by
-        #: ``_rebuild_available`` (faults) and ``update_positions`` (mobility)
+        #: per-sender offered-receiver overlay of lossy rounds (in-range ∩
+        #: available, sorted); derived from the geometric neighborhood cache
+        #: and invalidated by ``_rebuild_available`` (faults) and
+        #: ``update_positions`` (mobility)
         self._offered: dict[int, np.ndarray] = {}
         #: fault-plan hooks: an extra link model (loss bursts) and a boolean
         #: side-of-partition mask (region partitions); both None when healthy
@@ -738,13 +825,16 @@ class Medium:
         if off:
             mask[off] = False
         self._available = mask
-        self._all_available = not off
         # availability feeds the offered-receiver overlay; geometric neighbor
         # lists in the shared cache stay valid (positions did not move)
         self._offered.clear()
 
     def is_available(self, node_id: int) -> bool:
         return node_id not in self._asleep and node_id not in self._failed
+
+    def available_mask(self, node_ids) -> np.ndarray:
+        """:meth:`is_available` over an id array, as one boolean gather."""
+        return self._available[np.asarray(node_ids, dtype=np.intp)]
 
     def is_asleep(self, node_id: int) -> bool:
         """True iff the node is sleeping (it would *raise* on transmit, unlike
@@ -870,30 +960,15 @@ class Medium:
         return True
 
     def _offered_misses(self, senders) -> None:
-        """Fill the offered-receiver overlay for every sender missing from it.
-
-        One ``query_disk_many`` gather over all miss centers, one ``(senders,
-        union)`` squared-distance mask (bitwise the ``query_disk`` compare),
-        one availability mask — then per-sender slices of the sorted union.
-        """
+        """Fill the offered-receiver overlay (lossy rounds) for every sender
+        missing from it, in one :func:`_offered_rows` pass."""
         miss = [s for s in senders if s not in self._offered]
         if not miss:
             return
-        radius = self.radio.comm_radius
-        centers = self.positions[miss]
-        union = self._neighborhood.index.query_disk_many(centers, radius)
-        if union.size == 0:
-            for s in miss:
-                self._offered[s] = _EMPTY_IDS
-            return
-        upos = self.positions[union]
-        avail = self._available[union]
-        dx = upos[None, :, 0] - centers[:, 0:1]
-        dy = upos[None, :, 1] - centers[:, 1:2]
-        keep = (dx * dx + dy * dy <= radius * radius) & avail[None, :]
-        for row, s in enumerate(miss):
-            offered = union[keep[row]]
-            self._offered[s] = offered[offered != s].astype(np.intp, copy=False)
+        rows = _offered_rows(
+            self._neighborhood.index, self.positions, self._available, miss, self.radio.comm_radius
+        )
+        self._offered.update(zip(miss, rows))
 
     def _flush_broadcasts(self, entries, iteration: int) -> list[Delivery]:
         """Resolve a run of enqueued broadcasts as one vectorized round.
@@ -914,23 +989,32 @@ class Medium:
             live.append((idx, sender, message, count_cost, n_bytes))
         if not live:
             return results
-        self._offered_misses([s for _i, s, _msg, _cc, _b in live])
 
         charge_cats: list[str] = []
         charge_bytes: list[int] = []
 
         if not self.is_unreliable:
+            # every in-range available node hears every copy: log each send
+            # with a lazy reach instead of resolving receiver sets nobody reads,
+            # and charge the round as one ledger row per category (every
+            # (iteration, category, phase) view sums to the same totals)
+            geometry = (
+                self.positions, self._available, self._neighborhood, self.radio.comm_radius
+            )
+            charged: dict[str, list[int]] = {}
             for idx, sender, message, count_cost, n_bytes in live:
-                offered = self._offered[sender]
-                if offered.size:
-                    self._inbox_log.append((offered, message))
+                reach = _Reach(sender, geometry)
+                self._inbox_log.append((reach, message))
                 if count_cost:
-                    charge_cats.append(message.category)
-                    charge_bytes.append(n_bytes)
-                results[idx] = Delivery(receivers=offered, n_bytes=n_bytes, n_messages=1)
-            if charge_cats:
-                acc.record_rows(iteration, charge_cats, charge_bytes, 1)
+                    row = charged.setdefault(message.category, [0, 0])
+                    row[0] += n_bytes
+                    row[1] += 1
+                results[idx] = Delivery(receivers=reach, n_bytes=n_bytes, n_messages=1)
+            for category, (n_bytes, n_messages) in charged.items():
+                acc.record(iteration, category, n_bytes, n_messages)
             return results
+
+        self._offered_misses([s for _i, s, _msg, _cc, _b in live])
 
         # lossy round: partition crossings drop BEFORE any nonce is consumed,
         # the no-model case consumes none, and every surviving copy goes
@@ -1246,35 +1330,14 @@ class Medium:
         Materialized lazily from the round log: scans entries past the
         node's cursor and advances the cursor to the log head.
         """
-        log = self._inbox_log
-        start = self._inbox_cursor.get(node_id, 0)
-        end = len(log)
-        if start >= end:
-            return []
-        out: list[Message] = []
-        for i in range(start, end):
-            receivers, message = log[i]
-            if receivers.size == 1:
-                if receivers[0] == node_id:
-                    out.append(message)
-                continue
-            pos = np.searchsorted(receivers, node_id)
-            if pos < receivers.size and receivers[pos] == node_id:
-                out.append(message)
-        self._inbox_cursor[node_id] = end
+        out = self.peek(node_id)
+        self._inbox_cursor[node_id] = len(self._inbox_log)
         return out
 
     def peek(self, node_id: int) -> list[Message]:
         """The node's pending messages, without draining them."""
-        log = self._inbox_log
         start = self._inbox_cursor.get(node_id, 0)
-        out: list[Message] = []
-        for i in range(start, len(log)):
-            receivers, message = log[i]
-            pos = np.searchsorted(receivers, node_id)
-            if pos < receivers.size and receivers[pos] == node_id:
-                out.append(message)
-        return out
+        return [m for r, m in self._inbox_log[start:] if _hears(r, node_id)]
 
     def pending_nodes(self) -> list[int]:
         """Sorted ids of nodes with a non-empty inbox.
@@ -1285,7 +1348,7 @@ class Medium:
         cursor = self._inbox_cursor
         pending: set[int] = set()
         for i, (receivers, _message) in enumerate(self._inbox_log):
-            for r in receivers.tolist():
+            for r in _log_ids(receivers).tolist():
                 if r not in pending and cursor.get(r, 0) <= i:
                     pending.add(r)
         return sorted(pending)
@@ -1319,6 +1382,12 @@ class Medium:
         """
         from .messages import message_to_state
 
+        # a reliable broadcast is logged even when it reached nobody; carry
+        # only entries somebody received (cursors re-indexed to match), so
+        # the state reads the same however the round was resolved
+        resolved = [(_log_ids(r), message) for r, message in self._inbox_log]
+        kept = np.concatenate(([0], np.cumsum([ids.size > 0 for ids, _ in resolved])))
+        log = [(ids, message) for ids, message in resolved if ids.size]
         return {
             "positions": self.positions.copy(),
             "asleep": sorted(self._asleep),
@@ -1327,12 +1396,9 @@ class Medium:
                 None if self._partition is None else self._partition.copy()
             ),
             "inbox_log": [
-                [receivers.copy(), message_to_state(message)]
-                for receivers, message in self._inbox_log
+                [ids.copy(), message_to_state(message)] for ids, message in log
             ],
-            "inbox_cursor": {
-                int(k): int(v) for k, v in self._inbox_cursor.items()
-            },
+            "inbox_cursor": {int(k): int(kept[v]) for k, v in self._inbox_cursor.items()},
             "delayed": [
                 [int(due), int(node), message_to_state(message)]
                 for due, node, message in self._delayed

@@ -143,6 +143,36 @@ class ParticleMessage(Message):
                 self, "predicted_position", _as_readonly(self.predicted_position)
             )
 
+    @classmethod
+    def round_of(cls, senders, iteration: int, states, weights) -> list["ParticleMessage"]:
+        """One single-particle message per sender: message ``i`` carries row
+        ``i`` of the round's ``(n, d)`` states and ``(n,)`` weights.
+
+        The round is validated and copied read-only once; every message
+        shares its row, so a round of hundreds of broadcasts is cheap to build.
+        """
+        states = _as_readonly(np.atleast_2d(states))
+        weights = _as_readonly(np.atleast_1d(weights))
+        if states.shape[0] != weights.shape[0] or states.shape[0] != len(senders):
+            raise ValueError(
+                f"{len(senders)} senders, {states.shape[0]} states, {weights.shape[0]} weights"
+            )
+        if weights.size and weights.min() < 0:
+            raise ValueError("particle weights must be non-negative")
+        out = []
+        for i, sender in enumerate(senders):
+            msg = object.__new__(cls)  # fields set directly: validated above
+            msg.__dict__.update(
+                sender=int(sender),
+                iteration=int(iteration),
+                states=states[i : i + 1],
+                weights=weights[i : i + 1],
+                predicted_position=None,
+                carry_prediction=False,
+            )
+            out.append(msg)
+        return out
+
     @property
     def n_particles(self) -> int:
         return self.states.shape[0]

@@ -45,11 +45,7 @@ async def _run(args: argparse.Namespace) -> None:
     )
     await service.start(args.host, args.port)
     if args.store:
-        service.manager.resume_store_sessions()
-        for sid, config_toml, checkpoint in list(service.manager.pending_restores):
-            await service.manager.create_session(
-                config_toml, session_id=sid, resume_from=checkpoint
-            )
+        await service.manager.restore_from_store()
     print(f"repro.service listening on http://{service.host}:{service.port}",
           flush=True)
     stop = asyncio.Event()

@@ -153,6 +153,20 @@ def ws_handshake_response(request: Request) -> bytes:
     ).encode("latin-1")
 
 
+def _unmask(payload: bytes, mask: bytes) -> bytes:
+    """XOR a client payload with its 4-byte mask key (RFC 6455 §5.3).
+
+    One big-integer XOR over the whole payload instead of a per-byte Python
+    loop: an 8 MiB frame unmasks in tens of milliseconds rather than about a
+    second of blocked event loop.
+    """
+    n = len(payload)
+    if not n:
+        return payload
+    key = (mask * (n // 4 + 1))[:n]
+    return (int.from_bytes(payload, "big") ^ int.from_bytes(key, "big")).to_bytes(n, "big")
+
+
 def _ws_frame(opcode: int, payload: bytes) -> bytes:
     """One unmasked (server-to-client) frame, FIN set."""
     head = bytes([0x80 | opcode])
@@ -209,7 +223,7 @@ async def ws_recv(
             payload = await reader.readexactly(n) if n else b""
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        payload = _unmask(payload, mask)
         if opcode == 0x8:  # close
             try:
                 await ws_send_close(writer)

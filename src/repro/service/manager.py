@@ -19,7 +19,7 @@ Robustness posture (all first-class, not bolted on):
 * **Durability** — every session checkpoints into the shared
   :class:`~repro.experiments.engine.JsonlStore` at creation and every
   ``checkpoint_every`` steps, so even a cold manager restart can re-create
-  sessions via :meth:`SessionManager.resume_store_sessions`.
+  sessions via :meth:`SessionManager.restore_from_store`.
 * **Backpressure** — subscriber queues are bounded drop-oldest
   (:class:`~repro.service.streams.SubscriberQueue`); a slow WebSocket can
   never stall stepping.
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 import uuid
 from collections import deque
@@ -45,6 +46,7 @@ from ..experiments.engine import RECORD_SCHEMA, JsonlStore
 from .errors import (
     BadRequest,
     CapacityError,
+    ServiceError,
     SessionNotFound,
     SessionStateError,
     StepBudgetExceeded,
@@ -54,6 +56,8 @@ from .streams import SubscriberQueue
 from .workers import WorkerHandle
 
 __all__ = ["ServiceConfig", "SessionManager", "SessionRecord"]
+
+_log = logging.getLogger(__name__)
 
 #: session states a client can observe
 RUNNING, PAUSED, FINISHED, FAILED = "running", "paused", "finished", "failed"
@@ -166,9 +170,6 @@ class SessionManager:
         self._reaper_task: asyncio.Task | None = None
         self._failover_locks: dict[int, asyncio.Lock] = {}
         self._closed = False
-        #: (session_id, config_toml, checkpoint_json) found by
-        #: :meth:`resume_store_sessions` for a cold-restart re-create
-        self.pending_restores: list[tuple[str, str, str]] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -515,12 +516,14 @@ class SessionManager:
         record.result = await record.worker.call("result", session_id=session_id)
         return record.result
 
-    def resume_store_sessions(self) -> list[str]:
-        """Session ids recorded in the durable store, with their latest
-        checkpoint JSON — what a cold restart re-creates sessions from.
+    async def restore_from_store(self) -> list[str]:
+        """Cold restart: re-create every session the durable store holds.
 
-        Returns pairs via :attr:`pending_restores`; callers then
-        ``create_session(config_toml, session_id=..., resume_from=...)``.
+        Each session recorded in the store is re-created from its latest
+        checkpoint.  A record whose create is rejected (a config that no
+        longer parses, a checkpoint that no longer restores, a shed) is
+        skipped with a warning naming the session, so one bad record never
+        takes the service down.  Returns the restored session ids.
         """
         if self.store is None or not Path(self.store.path).exists():
             return []
@@ -538,12 +541,19 @@ class SessionManager:
                 configs[rec["session"]] = rec["config_toml"]
             elif rec.get("kind") == "checkpoint" and "session" in rec:
                 latest[rec["session"]] = rec["checkpoint"]
-        self.pending_restores = [
-            (sid, configs[sid], json.dumps(latest[sid]))
-            for sid in configs
-            if sid in latest
-        ]
-        return [sid for sid, _, _ in self.pending_restores]
+        restored: list[str] = []
+        for sid, config_toml in configs.items():
+            if sid not in latest:
+                continue
+            try:
+                await self.create_session(
+                    config_toml, session_id=sid, resume_from=json.dumps(latest[sid])
+                )
+            except ServiceError as exc:
+                _log.warning("not restoring session %r from the store: %s", sid, exc)
+                continue
+            restored.append(sid)
+        return restored
 
     # -- streaming ---------------------------------------------------------
 

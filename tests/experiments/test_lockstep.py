@@ -1,4 +1,10 @@
-"""The lock-step batched backend: bit-identity, routing, fallback, resume."""
+"""The lock-step batched backend: routing, fallback, resume, and the
+engine-level invariant that the execution strategy never changes results.
+
+Both backends step the same tracker phases; what these tests pin is the
+scheduler around them (shared worlds, estimate filing, result reassembly
+by task index).  The phase bodies themselves are pinned by
+``tests/core/cdpf_fold_golden.json``."""
 
 import numpy as np
 import pytest
@@ -52,8 +58,8 @@ def assert_tracking_identical(a, b, key):
 
 class TestBitIdentity:
     def test_all_families_match_serial(self):
-        """Every tracker family — the batched CDPF/CDPF-NE and the
-        falling-back CPF/SDPF — produces bit-identical per-cell results."""
+        """Every tracker family — the lock-stepped CDPF/CDPF-NE and the
+        per-cell CPF/SDPF — produces bit-identical per-cell results."""
         serial, ss = collect("serial")
         batched, sb = collect("batched")
         assert set(serial) == set(batched)
@@ -114,8 +120,8 @@ class TestPartition:
 
 class TestFallback:
     def test_custom_factory_through_batched_backend_matches_serial(self):
-        """A factory the partition cannot see into falls back to the
-        per-cell path inside the batched backend — identical results."""
+        """A factory the partition cannot see into takes the per-cell path
+        inside the batched backend — identical results."""
         from repro.core.cdpf import CDPFTracker
 
         factories = {
@@ -125,31 +131,6 @@ class TestFallback:
         batched, _ = collect("batched", factories=factories)
         for key in serial:
             assert_tracking_identical(serial[key], batched[key], key)
-
-
-class TestSensingContexts:
-    def test_fast_contexts_match_generate_step_context(self):
-        """The vectorized per-world context builder draws the same
-        detectors and bit-identical measurements as the per-step path."""
-        from repro.experiments.lockstep import _generate_contexts
-        from repro.experiments.runner import generate_step_context
-        from repro.scenario import make_paper_scenario, make_trajectory
-
-        rng = np.random.default_rng(7)
-        scenario = make_paper_scenario(
-            density_per_100m2=10.0, rng=rng, width=80.0, height=60.0
-        )
-        trajectory = make_trajectory(n_iterations=5, rng=rng, start=(5.0, 30.0))
-        fast = _generate_contexts(
-            scenario, trajectory, np.random.default_rng(123), 5
-        )
-        slow_rng = np.random.default_rng(123)
-        for k in range(6):  # the runner generates contexts for k = 0..n
-            slow = generate_step_context(scenario, trajectory, k, slow_rng)
-            assert np.array_equal(fast[k].detectors, slow.detectors)
-            assert set(fast[k].measurements) == set(slow.measurements)
-            for nid, z in slow.measurements.items():
-                assert fast[k].measurements[nid] == z, (k, nid)
 
 
 class TestResume:

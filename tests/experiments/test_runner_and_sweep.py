@@ -54,6 +54,44 @@ class TestGenerateStepContext:
         assert corr > 0.1  # the shared-bias component
 
 
+    @pytest.mark.parametrize("reference", ["node", "origin"])
+    def test_vectorized_bearings_match_per_detector_measure(self, reference):
+        """The one-pass bearing draw consumes the sensing stream exactly as
+        the per-detector ``BearingMeasurement.measure`` loop, value for value."""
+        from repro.models.measurement import BearingMeasurement
+        from repro.scenario import make_paper_scenario, make_trajectory
+
+        rng = np.random.default_rng(7)
+        scenario = make_paper_scenario(
+            density_per_100m2=10.0, rng=rng, width=80.0, height=60.0
+        ).with_(measurement=BearingMeasurement(noise_std=0.05, reference=reference))
+        trajectory = make_trajectory(n_iterations=5, rng=rng, start=(5.0, 30.0))
+        fast_rng = np.random.default_rng(123)
+        slow_rng = np.random.default_rng(123)
+        positions = scenario.physical_deployment.positions
+        for k in range(6):
+            ctx = generate_step_context(scenario, trajectory, k, fast_rng)
+            detectors = scenario.detection.detect(
+                scenario.physical_deployment.index,
+                trajectory.position_at_iteration(k)[None, :],
+                slow_rng,
+            )
+            assert np.array_equal(ctx.detectors, detectors)
+            bias = (
+                slow_rng.normal(0.0, scenario.measurement_bias_std)
+                if scenario.measurement_bias_std
+                else 0.0
+            )
+            state = np.concatenate(
+                [trajectory.position_at_iteration(k), trajectory.velocity_at_iteration(k)]
+            )
+            for nid in detectors:
+                z = scenario.measurement.measure(state, slow_rng, positions[int(nid)]) + bias
+                assert ctx.measurements[int(nid)] == z, (k, nid)
+        # both streams end in the same state
+        assert fast_rng.random() == slow_rng.random()
+
+
 class TestRunTracking:
     def test_result_fields(self, small_scenario, small_trajectory):
         tr = CDPFTracker(small_scenario, rng=np.random.default_rng(1))

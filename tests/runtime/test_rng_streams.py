@@ -12,6 +12,7 @@ property across the whole stream zoo rather than one hand-picked seed.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,3 +123,15 @@ class TestLockstepStreams:
         assert np.array_equal(
             lockstep.standard_normal(32), serial.standard_normal(32)
         )
+
+
+class TestBatchedDraws:
+    """The tracker's creation gate and the sensing layer take n draws as one
+    ``size=n`` call; that is only exact if it yields the scalar stream."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_uniform_and_normal_batches_equal_scalar_draws(self, n):
+        a, b = np.random.default_rng(99), np.random.default_rng(99)
+        assert a.uniform(size=n).tolist() == [b.uniform() for _ in range(n)]
+        assert a.normal(0.0, 0.05, size=n).tolist() == [b.normal(0.0, 0.05) for _ in range(n)]
+        assert a.random() == b.random()

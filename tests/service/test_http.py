@@ -11,6 +11,7 @@ import base64
 import json
 import os
 import struct
+import time
 
 import pytest
 
@@ -328,3 +329,23 @@ class TestUntrustedFraming:
 
     def test_non_utf8_text_closes(self):
         assert _recv(_client_frame(b"\xff\xfe")) is None
+
+    def test_unmask_matches_the_rfc_byte_loop(self):
+        mask = b"\x9a\x01\xfe\x37"
+        for n in range(10):
+            payload = bytes(range(200, 200 + n))
+            want = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+            assert http_mod._unmask(payload, mask) == want
+
+    def test_large_masked_frame_round_trips_without_stalling(self):
+        # just under the body cap, and not a multiple of the 4-byte mask: a
+        # per-byte unmask holds the event loop (every session's stream) for
+        # about a second on this size
+        text = ("tracking-" * (http_mod._MAX_BODY_BYTES // 9))[:http_mod._MAX_BODY_BYTES - 5]
+        assert len(text) % 4 != 0
+        data = _client_frame(text.encode("ascii"))
+        t0 = time.perf_counter()
+        got = _recv(data)
+        elapsed = time.perf_counter() - t0
+        assert got == text
+        assert elapsed < 0.5, f"unmasking an 8 MiB frame took {elapsed:.2f} s"

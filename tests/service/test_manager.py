@@ -6,6 +6,7 @@ counts small and share one manager per test via ``asyncio.run``.
 
 import asyncio
 import json
+import logging
 import os
 import signal
 
@@ -319,12 +320,8 @@ class TestDurableStore:
         assert "service-session" in kinds and "checkpoint" in kinds
 
         async def second_life(manager):
-            restored = manager.resume_store_sessions()
+            restored = await manager.restore_from_store()
             assert restored == ["s"]
-            sid, toml, checkpoint = manager.pending_restores[0]
-            await manager.create_session(
-                toml, session_id=sid, resume_from=checkpoint
-            )
             assert manager.sessions["s"].next_iteration == 2
             await manager.step_session("s", n=99)
             return await manager.result_session("s")
@@ -338,3 +335,49 @@ class TestDurableStore:
         assert result["fingerprint"] == run_fingerprint(
             run_config(small_config())
         )
+
+    def test_cold_restart_skips_a_record_it_cannot_restore(
+        self, config_toml, tmp_path, caplog
+    ):
+        # one good session, and one whose config was written before the
+        # kernel_backend option was retired: the restart restores the first
+        # and logs the second instead of dying at startup
+        store = tmp_path / "service.jsonl"
+
+        async def first_life(manager):
+            await manager.create_session(config_toml, session_id="good")
+            await manager.step_session("good", n=2)
+
+        run(
+            with_manager(
+                ServiceConfig(n_workers=1, checkpoint_every=1, store_path=store),
+                first_life,
+            )
+        )
+        records = [json.loads(line) for line in store.read_text().splitlines()]
+        stale = []
+        for rec in records:
+            rec = dict(rec, session="stale")
+            if rec["kind"] == "service-session":
+                rec["config_toml"] = 'kernel_backend = "numpy"\n' + rec["config_toml"]
+            stale.append(rec)
+        with store.open("a") as handle:
+            for rec in stale:
+                handle.write(json.dumps(rec) + "\n")
+
+        async def second_life(manager):
+            restored = await manager.restore_from_store()
+            assert restored == ["good"]
+            assert set(manager.sessions) == {"good"}
+            await manager.step_session("good", n=99)
+            return await manager.result_session("good")
+
+        with caplog.at_level(logging.WARNING, logger="repro.service.manager"):
+            result = run(
+                with_manager(
+                    ServiceConfig(n_workers=1, checkpoint_every=1, store_path=store),
+                    second_life,
+                )
+            )
+        assert result["fingerprint"] == run_fingerprint(run_config(small_config()))
+        assert any("'stale'" in r.getMessage() for r in caplog.records)
